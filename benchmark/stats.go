@@ -1,0 +1,39 @@
+package main
+
+import "sort"
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// order statistics (0 for an empty slice).
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// perRound collects one value per round.
+func perRound(rounds []*roundResult, f func(*roundResult) float64) []float64 {
+	out := make([]float64, 0, len(rounds))
+	for _, r := range rounds {
+		out = append(out, f(r))
+	}
+	return out
+}
+
+// pooled concatenates a per-round sample list over all rounds.
+func pooled(rounds []*roundResult, f func(*roundResult) []float64) []float64 {
+	var out []float64
+	for _, r := range rounds {
+		out = append(out, f(r)...)
+	}
+	return out
+}
